@@ -196,6 +196,26 @@ impl StateWriter {
         self.buf.is_empty()
     }
 
+    /// The bytes written so far.
+    pub fn as_bytes(&self) -> &[u8] {
+        &self.buf
+    }
+
+    /// Overwrite four already-written bytes at `at` with a little-endian
+    /// `u32` — for length and checksum fields reserved before the bytes
+    /// they describe were written.
+    ///
+    /// # Panics
+    /// Panics if `at + 4` exceeds [`len`](Self::len).
+    pub fn set_u32_at(&mut self, at: usize, v: u32) {
+        self.buf[at..at + 4].copy_from_slice(&v.to_le_bytes());
+    }
+
+    /// Forget the written bytes, keeping the allocation for reuse.
+    pub fn clear(&mut self) {
+        self.buf.clear();
+    }
+
     /// Consume the writer, returning the buffer.
     pub fn into_bytes(self) -> Vec<u8> {
         self.buf
@@ -1131,12 +1151,19 @@ impl<T: StateCodec> SamplerState<T> {
     /// `[version u32][payload][crc32(version ‖ payload) u32]`.
     pub fn encode_record(&self) -> Vec<u8> {
         let mut w = StateWriter::new();
+        self.encode_record_into(&mut w);
+        w.into_bytes()
+    }
+
+    /// Append exactly the bytes of [`encode_record`](Self::encode_record)
+    /// to `w`, with no intermediate buffer — for writers that frame many
+    /// records into one reused buffer.
+    pub fn encode_record_into(&self, w: &mut StateWriter) {
+        let start = w.len();
         w.put_u32(STATE_VERSION);
-        self.encode_payload(&mut w);
-        let mut bytes = w.into_bytes();
-        let crc = crc32(&bytes);
-        bytes.extend_from_slice(&crc.to_le_bytes());
-        bytes
+        self.encode_payload(w);
+        let crc = crc32(&w.as_bytes()[start..]);
+        w.put_u32(crc);
     }
 
     /// Decode and fully validate a record written by

@@ -10,7 +10,7 @@
 //! Bit-identity holds across shard counts, thread counts, and fleet
 //! backends, because per-key samplers derive their RNG streams from the
 //! key and consume events in batch order — the exact property the
-//! engine's `save_states`/`restore_states` round-trip preserves. A
+//! engine's checkpoint/`restore_states` round-trip preserves. A
 //! resumed run may therefore also *rescale*: reopen with different
 //! shard/thread counts (or the other backend) and continue, and every
 //! sample stays what it would have been.
@@ -296,21 +296,23 @@ where
     }
 
     /// Fsync the WAL, then write a snapshot of every key's state with
-    /// the post-sync sequence watermark. Atomic: a crash mid-write
-    /// leaves the previous snapshot as the recovery point.
+    /// the post-sync sequence watermark, streamed from the live fleet
+    /// ([`snapshot::write_fleet_snapshot`]). Atomic: a crash mid-write
+    /// leaves the previous snapshot as the recovery point. Once the new
+    /// snapshot is durable, all but the newest
+    /// [`SNAPSHOTS_KEPT`](snapshot::SNAPSHOTS_KEPT) are deleted.
     pub fn snapshot(&mut self) -> Result<PathBuf, DurableError> {
         self.ride_out_transients(FaultSite::WalFsync, "WAL fsync")?;
         self.wal.sync()?;
-        let states = self.engine.save_states()?;
         let meta = SnapshotMeta {
             template: self.engine.template().to_string(),
             backend: self.engine.backend().token().to_string(),
             shards: self.engine.num_shards() as u64,
             threads: self.engine.num_threads() as u64,
             wal_seq: self.wal.next_seq(),
-            keys: states.len() as u64,
+            keys: self.engine.num_keys() as u64,
         };
-        let path = snapshot::write_snapshot(&self.dir, &meta, &states)?;
+        let path = snapshot::write_fleet_snapshot(&self.dir, &meta, &self.engine)?;
         if let Some(offset) = self.opts.fail.corrupt_snapshot_byte.take() {
             let mut bytes = std::fs::read(&path)?;
             if !bytes.is_empty() {
@@ -323,6 +325,7 @@ where
                 );
             }
         }
+        snapshot::retain_newest(&self.dir, snapshot::SNAPSHOTS_KEPT)?;
         self.batches_since_snapshot = 0;
         Ok(path)
     }

@@ -6,7 +6,7 @@
 //! pure function of `(spec, event log)`, with per-key RNG seeds derived
 //! from the key alone. So a crash-consistent replica needs exactly two
 //! artifacts — a checkpoint of per-key sampler states
-//! ([`MultiStreamEngine::save_states`], `O(k)` words per key) and the
+//! ([`MultiStreamEngine::encode_shards`], `O(k)` words per key) and the
 //! suffix of ingest batches since that checkpoint (the WAL). Replaying
 //! the suffix into the restored fleet reproduces the uncrashed run **bit
 //! for bit**, on either fleet backend, at any shard count, at any thread
@@ -28,10 +28,18 @@
 //!   header frame (template spec string, backend, shard/thread counts,
 //!   the first WAL seq *not* covered, key count) followed by one frame
 //!   per key wrapping the key and the sampler's own checksummed
-//!   [`SamplerState`](swsample_core::SamplerState) record. Written to a
-//!   temp file, fsynced, then renamed — a crash mid-snapshot leaves the
-//!   previous snapshot intact. Recovery takes the newest snapshot that
-//!   validates end-to-end and silently falls back to older ones (a
+//!   [`SamplerState`](swsample_core::SamplerState) record. The fleet is
+//!   never copied: [`snapshot::write_fleet_snapshot`] encodes each shard
+//!   straight from the live store under its read lock, shard-parallel on
+//!   the engine's worker threads, and writes the shard images in shard
+//!   order with at most two per thread in memory. The bytes equal
+//!   [`snapshot::write_snapshot`] of [`MultiStreamEngine::save_states`].
+//!   Written to a temp file, fsynced, renamed, and the directory
+//!   fsynced — a crash mid-snapshot leaves the previous snapshot intact,
+//!   and a failed write removes the temp file. Once a snapshot is
+//!   durable, all but the newest [`snapshot::SNAPSHOTS_KEPT`] (two) are
+//!   deleted. Recovery takes the newest snapshot that validates
+//!   end-to-end and falls back to the older one with a warning (a
 //!   corrupted byte anywhere in a snapshot fails its CRC).
 //! * **Recovery** ([`engine::DurableEngine::open`]) — latest valid
 //!   snapshot + replay of WAL records with `seq >=` the snapshot's
@@ -81,6 +89,14 @@ pub enum DurableError {
     /// The on-disk configuration and the caller's disagree (e.g. a
     /// resume with a different template).
     Config(String),
+    /// A snapshot writer produced a different number of key frames than
+    /// its header announces; the snapshot was not written.
+    KeyCount {
+        /// The header's `keys`.
+        header: u64,
+        /// Key frames actually produced.
+        written: u64,
+    },
 }
 
 impl std::fmt::Display for DurableError {
@@ -92,6 +108,10 @@ impl std::fmt::Display for DurableError {
                 write!(f, "corrupt durable file {}: {detail}", file.display())
             }
             DurableError::Config(msg) => write!(f, "durable config error: {msg}"),
+            DurableError::KeyCount { header, written } => write!(
+                f,
+                "snapshot header announces {header} keys but {written} key frames were written"
+            ),
         }
     }
 }

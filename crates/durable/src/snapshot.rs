@@ -1,20 +1,26 @@
 //! `O(k)`-per-key fleet snapshots: `snap-<wal_seq>.snap` files holding a
 //! config header plus every key's compact sampler state.
 //!
-//! A snapshot is written to a temp file, fsynced, and renamed into
-//! place, so a crash mid-write can never damage an existing snapshot.
+//! Both writers — [`write_fleet_snapshot`], streaming a live fleet
+//! shard by shard, and [`write_snapshot`], over already-saved states —
+//! share one per-key frame encoder and one file writer, so for the same
+//! fleet they produce the same bytes. A snapshot
+//! is written to a temp file, fsynced, and renamed into place, so a
+//! crash mid-write can never damage an existing snapshot.
 //! Reading validates every frame's CRC, the header version, the key
 //! count, and each embedded sampler record's own checksum; any failure
 //! makes the whole snapshot invalid, and recovery falls back to the next
 //! older one.
 
 use std::fs::{self, File, OpenOptions};
-use std::io::{BufReader, BufWriter, Write};
+use std::hash::Hash;
+use std::io::{BufReader, Write};
 use std::path::{Path, PathBuf};
 
-use swsample_core::state::{SamplerState, StateCodec, StateReader, StateWriter};
+use swsample_core::state::{crc32, SamplerState, StateCodec, StateReader, StateWriter};
+use swsample_stream::MultiStreamEngine;
 
-use crate::frame::{self, FrameRead};
+use crate::frame::{self, FrameRead, FRAME_HEADER_BYTES};
 use crate::DurableError;
 
 /// Version tag leading every snapshot header.
@@ -74,48 +80,156 @@ fn corrupt(path: &Path, detail: impl Into<String>) -> DurableError {
     }
 }
 
+/// Snapshots [`DurableEngine::snapshot`](crate::DurableEngine::snapshot)
+/// keeps on disk: the newest, plus one to fall back to should the
+/// newest fail validation.
+pub const SNAPSHOTS_KEPT: usize = 2;
+
+/// Encoded frames [`write_snapshot`] buffers before each file write.
+const WRITE_CHUNK_BYTES: usize = 1 << 20;
+
+/// Append `body` to `w` as one CRC frame, byte for byte what
+/// [`frame::write_frame`] writes: the length and checksum fields are
+/// reserved, then filled in once the payload is in place.
+fn put_frame(w: &mut StateWriter, body: impl FnOnce(&mut StateWriter)) {
+    let at = w.len();
+    w.put_u64(0);
+    body(w);
+    let payload = &w.as_bytes()[at + FRAME_HEADER_BYTES..];
+    debug_assert!(payload.len() <= frame::MAX_FRAME_BYTES as usize);
+    let (len, crc) = (payload.len() as u32, crc32(payload));
+    w.set_u32_at(at, len);
+    w.set_u32_at(at + 4, crc);
+}
+
+/// Append one key's snapshot frame to `w`: the key, then the state's
+/// self-checksummed record behind a `u32` length.
+fn encode_key_frame<K: StateCodec, T: StateCodec + Clone>(
+    w: &mut StateWriter,
+    key: &K,
+    state: &SamplerState<T>,
+) {
+    put_frame(w, |w| {
+        key.encode_state(w);
+        let at = w.len();
+        w.put_u32(0);
+        state.encode_record_into(w);
+        let len = w.len() - at - 4;
+        w.set_u32_at(at, len as u32);
+    });
+}
+
+/// Write a snapshot atomically: the header frame, then the key frames
+/// `frames` writes (returning how many), into `snap.tmp`; fsync; rename
+/// into place; fsync the directory. A failure at any step removes the
+/// temp file and leaves existing snapshots untouched; a frame count
+/// other than `meta.keys` is [`DurableError::KeyCount`].
+fn write_atomically(
+    dir: &Path,
+    meta: &SnapshotMeta,
+    frames: impl FnOnce(&mut File) -> Result<u64, DurableError>,
+) -> Result<PathBuf, DurableError> {
+    let tmp_path = dir.join("snap.tmp");
+    let final_path = dir.join(snapshot_name(meta.wal_seq));
+    let written = (|| {
+        let mut file = OpenOptions::new()
+            .create(true)
+            .write(true)
+            .truncate(true)
+            .open(&tmp_path)?;
+        let mut header = StateWriter::new();
+        put_frame(&mut header, |w| {
+            w.put_u32(SNAPSHOT_VERSION);
+            w.put_len_bytes(meta.template.as_bytes());
+            w.put_len_bytes(meta.backend.as_bytes());
+            w.put_u64(meta.shards);
+            w.put_u64(meta.threads);
+            w.put_u64(meta.wal_seq);
+            w.put_u64(meta.keys);
+        });
+        file.write_all(header.as_bytes())?;
+        let written = frames(&mut file)?;
+        if written != meta.keys {
+            return Err(DurableError::KeyCount {
+                header: meta.keys,
+                written,
+            });
+        }
+        file.sync_all()?;
+        fs::rename(&tmp_path, &final_path)?;
+        Ok(())
+    })();
+    if let Err(e) = written {
+        let _ = fs::remove_file(&tmp_path);
+        return Err(e);
+    }
+    // Persist the rename itself.
+    File::open(dir)?.sync_all()?;
+    Ok(final_path)
+}
+
 /// Write a snapshot of `states` to `dir`, atomically. Returns the final
 /// path. Overwrites an existing snapshot at the same `wal_seq` (the
 /// newer states cover at least as much of the log).
+///
+/// The file is byte-identical to [`write_fleet_snapshot`]'s for the
+/// fleet these states were saved from.
 pub fn write_snapshot<K: StateCodec, T: StateCodec + Clone>(
     dir: &Path,
     meta: &SnapshotMeta,
     states: &[(K, SamplerState<T>)],
 ) -> Result<PathBuf, DurableError> {
-    assert_eq!(meta.keys as usize, states.len(), "meta.keys mismatch");
-    let tmp_path = dir.join("snap.tmp");
-    let final_path = dir.join(snapshot_name(meta.wal_seq));
-    {
-        let file = OpenOptions::new()
-            .create(true)
-            .write(true)
-            .truncate(true)
-            .open(&tmp_path)?;
-        let mut w = BufWriter::new(file);
-        let mut header = StateWriter::new();
-        header.put_u32(SNAPSHOT_VERSION);
-        header.put_len_bytes(meta.template.as_bytes());
-        header.put_len_bytes(meta.backend.as_bytes());
-        header.put_u64(meta.shards);
-        header.put_u64(meta.threads);
-        header.put_u64(meta.wal_seq);
-        header.put_u64(meta.keys);
-        frame::write_frame(&mut w, &header.into_bytes())?;
+    write_atomically(dir, meta, |file| {
+        let mut w = StateWriter::new();
         for (key, state) in states {
-            let mut body = StateWriter::new();
-            key.encode_state(&mut body);
-            body.put_len_bytes(&state.encode_record());
-            frame::write_frame(&mut w, &body.into_bytes())?;
+            encode_key_frame(&mut w, key, state);
+            if w.len() >= WRITE_CHUNK_BYTES {
+                file.write_all(w.as_bytes())?;
+                w.clear();
+            }
         }
-        w.flush()?;
-        w.get_ref().sync_all()?;
+        file.write_all(w.as_bytes())?;
+        Ok(states.len() as u64)
+    })
+}
+
+/// Write a snapshot of `engine`'s live fleet to `dir`, atomically,
+/// without collecting its states first: each shard is encoded straight
+/// from the store by [`MultiStreamEngine::encode_shards`] (shard-parallel
+/// on the engine's worker threads, a few shard images in memory at a
+/// time) and written in shard order as it completes. `meta.keys` must
+/// equal the fleet's key count.
+///
+/// The file is byte-identical to
+/// `write_snapshot(dir, meta, &engine.save_states()?)`.
+pub fn write_fleet_snapshot<K, T>(
+    dir: &Path,
+    meta: &SnapshotMeta,
+    engine: &MultiStreamEngine<K, T>,
+) -> Result<PathBuf, DurableError>
+where
+    K: StateCodec + Hash + Eq + Clone + Send + Sync + 'static,
+    T: StateCodec + Clone + Send + Sync + 'static,
+{
+    write_atomically(dir, meta, |file| {
+        let mut written = 0u64;
+        engine.encode_shards(encode_key_frame, |image, keys| {
+            file.write_all(image)?;
+            written += keys as u64;
+            Ok::<(), DurableError>(())
+        })?;
+        Ok(written)
+    })
+}
+
+/// Delete all but the newest `keep` snapshots in `dir`.
+pub(crate) fn retain_newest(dir: &Path, keep: usize) -> Result<(), DurableError> {
+    let snapshots = list_snapshots(dir)?;
+    let stale = snapshots.len().saturating_sub(keep);
+    for (_, path) in &snapshots[..stale] {
+        fs::remove_file(path)?;
     }
-    fs::rename(&tmp_path, &final_path)?;
-    // Persist the rename itself.
-    if let Ok(d) = File::open(dir) {
-        let _ = d.sync_all();
-    }
-    Ok(final_path)
+    Ok(())
 }
 
 /// Read and fully validate one snapshot file.

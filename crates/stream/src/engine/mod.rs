@@ -13,7 +13,7 @@
 //! engine-major timestamp ingestion) still fire even when arrivals
 //! interleave keys.
 //!
-//! The module splits along the engine's three concerns:
+//! The module splits along the engine's four concerns:
 //!
 //! * `registry` — key hashing, seed derivation, and the open-addressing
 //!   slab index (`key → u32` slot ids shared by both backends);
@@ -21,7 +21,9 @@
 //!   [`ErasedWindowSampler`] per key (fully general), or the
 //!   struct-of-arrays fleets of [`swsample_core::soa`] (homogeneous
 //!   templates, field-major state, batch dispatch — see below);
-//! * `parallel` — the skew-aware work-stealing scheduler.
+//! * `parallel` — the skew-aware work-stealing scheduler;
+//! * `checkpoint` — streamed, shard-parallel checkpoint encoding
+//!   ([`MultiStreamEngine::encode_shards`]).
 //!
 //! # The slab key registry
 //!
@@ -119,6 +121,7 @@
 //! Firefox workhorse) implemented locally — fast, deterministic across
 //! runs, and dependency-free.
 
+mod checkpoint;
 mod erased;
 mod parallel;
 mod registry;
@@ -129,7 +132,7 @@ use std::sync::atomic::AtomicBool;
 use std::sync::{Arc, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 use swsample_core::spec::{FleetBackend, SamplerFactory, SamplerSpec, SpecError, WindowKind};
-use swsample_core::state::{SamplerState, StateError};
+use swsample_core::state::{SamplerState, StateError, StateWriter};
 use swsample_core::{ErasedWindowSampler, MemoryWords, Sample};
 
 use self::erased::ErasedStore;
@@ -421,6 +424,19 @@ impl<K: Hash + Eq + Clone, T: Clone + 'static> Shard<K, T> {
         run.clear();
         self.order = order;
         self.run = run;
+    }
+
+    /// Hand every key's checkpoint record to `f`, in slot order;
+    /// returns the key count. `Unsupported` as in
+    /// [`MultiStreamEngine::save_states`].
+    fn save_each(&self, mut f: impl FnMut(&K, SamplerState<T>)) -> Result<usize, StateError> {
+        for (slot, key) in self.registry.keys().iter().enumerate() {
+            f(
+                key,
+                self.store.save_slot(slot).ok_or(StateError::Unsupported)?,
+            );
+        }
+        Ok(self.registry.len())
     }
 
     /// Registry + store scaffolding in words (8 bytes).
@@ -832,11 +848,8 @@ impl<K: Hash + Eq + Clone, T: Clone + Send + Sync + 'static> MultiStreamEngine<K
         self.sync();
         let mut out = Vec::with_capacity(self.num_keys());
         for shard in &self.shards {
-            let guard = self.read(shard);
-            for (slot, key) in guard.registry.keys().iter().enumerate() {
-                let state = guard.store.save_slot(slot).ok_or(StateError::Unsupported)?;
-                out.push((key.clone(), state));
-            }
+            self.read(shard)
+                .save_each(|key, state| out.push((key.clone(), state)))?;
         }
         Ok(out)
     }
@@ -901,6 +914,30 @@ where
         let mut engine = Self::build(template, shards, factory, backend)?;
         engine.set_threads(threads);
         Ok(engine)
+    }
+
+    /// Stream a checkpoint of every materialized key without collecting
+    /// the fleet: the records [`save_states`](Self::save_states) would
+    /// return, in the same shard-major, slot order, but each key's state
+    /// lives only while `encode` appends it to its shard's image.
+    ///
+    /// Each shard is encoded under its read lock into a reused buffer,
+    /// and `emit(image, keys)` receives the finished image on the
+    /// calling thread, in shard order. Encoding runs on
+    /// [`num_threads`](Self::num_threads) threads (the caller plus scoped
+    /// helpers); at most two images per thread are in flight, so memory
+    /// stays bounded by a few shard images. Fleets under 1024 keys are
+    /// encoded inline, with no thread spawned.
+    ///
+    /// Stops at the first error: [`StateError::Unsupported`] as in
+    /// [`save_states`](Self::save_states), or whatever `emit` returns.
+    pub fn encode_shards<E: From<StateError>>(
+        &self,
+        encode: impl Fn(&mut StateWriter, &K, &SamplerState<T>) + Sync,
+        emit: impl FnMut(&[u8], usize) -> Result<(), E>,
+    ) -> Result<(), E> {
+        self.sync();
+        checkpoint::encode_shards(&self.shards, self.threads, encode, emit)
     }
 
     /// Set the worker-thread count for subsequent
