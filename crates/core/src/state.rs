@@ -14,8 +14,8 @@
 //! Config fields derivable from the [`crate::spec::SamplerSpec`] (window
 //! width `n`, capacity `k`, seeds) are deliberately *not* stored: restore
 //! always targets a sampler built from the same spec, which keeps the
-//! records compact and makes snapshots portable across the erased and
-//! struct-of-arrays fleet backends.
+//! records compact and makes snapshots portable across shard and thread
+//! counts.
 //!
 //! The wire format is little-endian, length-prefixed, and framed as
 //! `[version u32][payload][crc32 u32]` by [`SamplerState::encode_record`];
@@ -526,8 +526,8 @@ pub enum SamplerState<T> {
     SeqWr {
         /// Elements ingested.
         count: u64,
-        /// Lifetime accepted-arrival count (diagnostic; the SoA backend
-        /// does not track it and saves 0).
+        /// Lifetime accepted-arrival count (diagnostic; snapshots
+        /// written by the removed struct-of-arrays backend hold 0).
         accepts: u64,
         /// RNG state.
         rng: RngState,

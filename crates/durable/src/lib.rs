@@ -9,8 +9,7 @@
 //! ([`MultiStreamEngine::encode_shards`], `O(k)` words per key) and the
 //! suffix of ingest batches since that checkpoint (the WAL). Replaying
 //! the suffix into the restored fleet reproduces the uncrashed run **bit
-//! for bit**, on either fleet backend, at any shard count, at any thread
-//! count.
+//! for bit**, at any shard count, at any thread count.
 //!
 //! The layout on disk, all little-endian, every record CRC-framed
 //! (`[len u32][crc32 u32][payload]`, see [`frame`]):

@@ -36,7 +36,8 @@ pub type SnapshotContents<K, T> = (SnapshotMeta, Vec<(K, SamplerState<T>)>);
 pub struct SnapshotMeta {
     /// The template spec, in its canonical `Display` form.
     pub template: String,
-    /// Fleet backend token (`soa` / `erased`).
+    /// Fleet backend token. Written as `erased`; never read back
+    /// (directories written with `soa` open unchanged).
     pub backend: String,
     /// Shard count at snapshot time.
     pub shards: u64,

@@ -1,6 +1,5 @@
 //! The streamed snapshot writer against the collected one: for every
-//! spec-expressible family, both fleet backends, several thread counts
-//! and fleet shapes, a snapshot encoded straight from the live fleet
+//! spec-expressible family, several thread counts and fleet shapes, a snapshot encoded straight from the live fleet
 //! (`write_fleet_snapshot`, what `DurableEngine::snapshot` writes) must
 //! be byte for byte the file `write_snapshot(save_states())` writes —
 //! and both must equal the original format, rebuilt here frame by frame
@@ -185,80 +184,69 @@ fn samples(engine: &MultiStreamEngine<u64, u64>, keys: &[u64]) -> Vec<Option<Vec
 }
 
 #[test]
-fn streamed_snapshot_is_byte_identical_for_every_family_backend_threads_and_shape() {
+fn streamed_snapshot_is_byte_identical_for_every_family_threads_and_shape() {
     let mut cases = 0;
     for (family, template) in FAMILIES {
         let spec: SamplerSpec = template.parse().expect("template");
-        let backends: &[FleetBackend] = if spec.soa_eligible() {
-            &[FleetBackend::Erased, FleetBackend::Soa]
-        } else {
-            &[FleetBackend::Erased]
-        };
-        for &backend in backends {
-            for &threads in THREADS {
-                for fleet in fleets() {
-                    let tag = format!("{family}-{}-t{threads}-{}", backend.token(), fleet.name);
-                    let engine = MultiStreamEngine::<u64, u64>::with_backend(
-                        spec.clone(),
-                        fleet.shards,
-                        swsample_baselines::spec::build::<u64>,
-                        threads,
-                        backend,
-                    )
-                    .expect("engine");
-                    populate(&engine, &fleet.keys);
-                    assert_eq!(engine.num_keys(), fleet.keys.len(), "{tag}");
-                    let meta = meta_for(&engine, 7);
+        for &threads in THREADS {
+            for fleet in fleets() {
+                let tag = format!("{family}-t{threads}-{}", fleet.name);
+                let engine = MultiStreamEngine::<u64, u64>::with_threads(
+                    spec.clone(),
+                    fleet.shards,
+                    swsample_baselines::spec::build::<u64>,
+                    threads,
+                )
+                .expect("engine");
+                populate(&engine, &fleet.keys);
+                assert_eq!(engine.num_keys(), fleet.keys.len(), "{tag}");
+                let meta = meta_for(&engine, 7);
 
-                    let streamed_dir = tmp_dir(&format!("{tag}-s"));
-                    let streamed = write_fleet_snapshot(&streamed_dir, &meta, &engine)
-                        .unwrap_or_else(|e| panic!("{tag}: streamed write: {e}"));
-                    let collected_dir = tmp_dir(&format!("{tag}-c"));
-                    let collected = write_snapshot(
-                        &collected_dir,
-                        &meta,
-                        &engine.save_states().expect("save_states"),
-                    )
-                    .unwrap_or_else(|e| panic!("{tag}: collected write: {e}"));
-                    let streamed_bytes = fs::read(&streamed).expect("read streamed");
-                    assert!(
-                        streamed_bytes == fs::read(&collected).expect("read collected"),
-                        "{tag}: streamed snapshot differs from write_snapshot(save_states())"
-                    );
-                    assert!(
-                        streamed_bytes == original_format(&meta, &engine),
-                        "{tag}: snapshot differs from the original format"
-                    );
+                let streamed_dir = tmp_dir(&format!("{tag}-s"));
+                let streamed = write_fleet_snapshot(&streamed_dir, &meta, &engine)
+                    .unwrap_or_else(|e| panic!("{tag}: streamed write: {e}"));
+                let collected_dir = tmp_dir(&format!("{tag}-c"));
+                let collected = write_snapshot(
+                    &collected_dir,
+                    &meta,
+                    &engine.save_states().expect("save_states"),
+                )
+                .unwrap_or_else(|e| panic!("{tag}: collected write: {e}"));
+                let streamed_bytes = fs::read(&streamed).expect("read streamed");
+                assert!(
+                    streamed_bytes == fs::read(&collected).expect("read collected"),
+                    "{tag}: streamed snapshot differs from write_snapshot(save_states())"
+                );
+                assert!(
+                    streamed_bytes == original_format(&meta, &engine),
+                    "{tag}: snapshot differs from the original format"
+                );
 
-                    // Restore the streamed snapshot onto a fresh fleet
-                    // (the other shape, to show layout independence) and
-                    // compare every key's answer.
-                    let (got_meta, states) =
-                        read_snapshot::<u64, u64>(&streamed).expect("read back");
-                    assert_eq!(got_meta, meta, "{tag}");
-                    let mut restored = MultiStreamEngine::<u64, u64>::with_backend(
-                        spec.clone(),
-                        fleet.shards * 2,
-                        swsample_baselines::spec::build::<u64>,
-                        1,
-                        backend,
-                    )
-                    .expect("engine");
-                    restored.restore_states(states).expect("restore");
-                    assert_eq!(
-                        samples(&restored, &fleet.keys),
-                        samples(&engine, &fleet.keys),
-                        "{tag}: restored fleet answers differently"
-                    );
-                    let _ = fs::remove_dir_all(&streamed_dir);
-                    let _ = fs::remove_dir_all(&collected_dir);
-                    cases += 1;
-                }
+                // Restore the streamed snapshot onto a fresh fleet (the
+                // other shape, to show layout independence) and compare
+                // every key's answer.
+                let (got_meta, states) = read_snapshot::<u64, u64>(&streamed).expect("read back");
+                assert_eq!(got_meta, meta, "{tag}");
+                let mut restored = MultiStreamEngine::<u64, u64>::with_factory(
+                    spec.clone(),
+                    fleet.shards * 2,
+                    swsample_baselines::spec::build::<u64>,
+                )
+                .expect("engine");
+                restored.restore_states(states).expect("restore");
+                assert_eq!(
+                    samples(&restored, &fleet.keys),
+                    samples(&engine, &fleet.keys),
+                    "{tag}: restored fleet answers differently"
+                );
+                let _ = fs::remove_dir_all(&streamed_dir);
+                let _ = fs::remove_dir_all(&collected_dir);
+                cases += 1;
             }
         }
     }
-    // 10 families, 5 of them SoA-eligible, 3 thread counts, 4 shapes.
-    assert_eq!(cases, (10 + 5) * THREADS.len() * 4);
+    // 10 families, 3 thread counts, 4 shapes.
+    assert_eq!(cases, 10 * THREADS.len() * 4);
 }
 
 fn no_temp_file(dir: &Path) -> bool {
@@ -269,12 +257,11 @@ fn no_temp_file(dir: &Path) -> bool {
 fn key_count_mismatch_is_an_error_and_leaves_nothing_behind() {
     let dir = tmp_dir("keycount");
     let spec: SamplerSpec = FAMILIES[0].1.parse().expect("template");
-    let engine = MultiStreamEngine::<u64, u64>::with_backend(
+    let engine = MultiStreamEngine::<u64, u64>::with_threads(
         spec,
         8,
         swsample_baselines::spec::build::<u64>,
         2,
-        FleetBackend::Erased,
     )
     .expect("engine");
     populate(&engine, &(0..2000).collect::<Vec<_>>());

@@ -90,8 +90,6 @@ pub struct ServerConfig {
     pub shards: usize,
     /// Ingest worker threads.
     pub threads: usize,
-    /// Fleet backend.
-    pub backend: FleetBackend,
     /// When set, wrap the fleet in a [`DurableEngine`] rooted here
     /// (created fresh, or resumed if the directory already holds a
     /// snapshot).
@@ -135,7 +133,7 @@ pub struct ServerConfig {
 
 impl ServerConfig {
     /// Defaults for everything but the template: ephemeral loopback
-    /// port, 16 shards, 1 thread, auto backend, no WAL, 256 Ki-event
+    /// port, 16 shards, 1 thread, no WAL, 256 Ki-event
     /// queue bound, 1024-frame rings, 100 ms ticks.
     pub fn new(template: SamplerSpec) -> ServerConfig {
         ServerConfig {
@@ -143,7 +141,6 @@ impl ServerConfig {
             template,
             shards: 16,
             threads: 1,
-            backend: FleetBackend::Auto,
             wal_dir: None,
             snapshot_every: None,
             segment_bytes: DEFAULT_SEGMENT_BYTES,
@@ -707,12 +704,11 @@ impl Drop for Server {
 
 fn build_fleet(cfg: &ServerConfig) -> Result<Fleet, String> {
     match &cfg.wal_dir {
-        None => MultiStreamEngine::with_backend(
+        None => MultiStreamEngine::with_threads(
             cfg.template.clone(),
             cfg.shards,
             swsample_baselines::spec::build::<u64>,
             cfg.threads,
-            cfg.backend,
         )
         .map(Fleet::Plain)
         .map_err(|e| e.to_string()),
@@ -737,7 +733,6 @@ fn build_fleet(cfg: &ServerConfig) -> Result<Fleet, String> {
                     ResumeOverrides {
                         shards: Some(cfg.shards),
                         threads: Some(cfg.threads),
-                        backend: Some(cfg.backend),
                     },
                 )
             } else {
@@ -746,7 +741,7 @@ fn build_fleet(cfg: &ServerConfig) -> Result<Fleet, String> {
                     cfg.template.clone(),
                     cfg.shards,
                     cfg.threads,
-                    cfg.backend,
+                    FleetBackend::Erased,
                     opts,
                 )
             };

@@ -1,6 +1,6 @@
 //! Streamed checkpoint encoding behind
 //! [`MultiStreamEngine::encode_shards`](super::MultiStreamEngine::encode_shards):
-//! every shard's key records are encoded straight from the live store,
+//! every shard's key records are encoded straight from the live fleet,
 //! under that shard's read lock, into a reused per-shard buffer, and
 //! handed to the caller in shard order — the order
 //! [`save_states`](super::MultiStreamEngine::save_states) lists keys in.

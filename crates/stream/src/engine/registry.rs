@@ -2,11 +2,9 @@
 //!
 //! The registry is the engine's `key → slot` side, deliberately separated
 //! from sampler storage: an open-addressing index table of `tag | slot`
-//! words over a dense first-touch-ordered key slab. Slot ids are handed
-//! to the backing store ([`super::Store`]), which keeps per-key sampler
-//! state at the same index — so the registry is identical for both fleet
-//! backends and the probe loop never depends on how samplers are laid
-//! out.
+//! words over a dense first-touch-ordered key slab. Slot ids index the
+//! shard's per-key samplers, which sit at the same index — so the probe
+//! loop never depends on how samplers are laid out.
 
 use std::hash::{BuildHasherDefault, Hash, Hasher};
 
@@ -125,9 +123,8 @@ impl<K> KeyRegistry<K> {
     }
 
     /// Index-table + key-slab bookkeeping in words (8 bytes): the tagged
-    /// bucket words plus each slab key. Per-key *store* scaffolding (box
-    /// pointers on the erased backend; nothing on SoA) is accounted by
-    /// the store itself.
+    /// bucket words plus each slab key. The per-key box pointers are
+    /// accounted by the shard.
     pub(crate) fn overhead_words(&self) -> usize {
         let key_words = std::mem::size_of::<K>().div_ceil(8);
         self.buckets.len() + self.keys.len() * key_words
@@ -160,8 +157,8 @@ impl<K: Hash + Eq + Clone> KeyRegistry<K> {
     }
 
     /// Probe for `key`, appending a fresh slot on first touch. Returns
-    /// `(slot id, is_new)`; on `is_new` the caller must push matching
-    /// per-key sampler state into its store so slot ids stay aligned.
+    /// `(slot id, is_new)`; on `is_new` the caller must push the key's
+    /// sampler so slot ids stay aligned.
     pub(crate) fn get_or_insert(&mut self, hash: u64, key: &K) -> (usize, bool) {
         let mask = self.buckets.len() - 1;
         let tag = hash & TAG_MASK;

@@ -2,7 +2,7 @@
 //! work-stealing scheduler PR):
 //!
 //! 1. **Determinism** — per-key samples are byte-identical for every
-//!    worker-thread count, shard count, fleet backend, and skew level:
+//!    worker-thread count, shard count, batch split, and skew level:
 //!    seeds derive from the key alone, and each shard's events are
 //!    processed in arrival order by exactly one worker per epoch.
 //! 2. **`Send` audit** — every spec-built sampler (all algorithm
@@ -14,7 +14,7 @@
 //!    samples across mid-stream worker rescales.
 //! 5. **Committed artifact** — the checked-in `BENCH_throughput.json`
 //!    is schema v7 and records the gated `multi_100k_speedup ≥ 2`,
-//!    `multi_soa_100k_speedup ≥ 1.5`, `durable_wal_overhead_100k ≥ 0.7`,
+//!    `durable_wal_overhead_100k ≥ 0.7`,
 //!    `server_e2e_100k_vs_direct ≥ 0.5`, and
 //!    `parallel_t8_overhead_{1k,100k} ≥ 0.9` headlines (plus
 //!    `parallel_t4_efficiency_100k ≥ 1.5` when the measuring host had
@@ -22,7 +22,7 @@
 
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
-use swsample::core::spec::{FleetBackend, SamplerSpec};
+use swsample::core::spec::SamplerSpec;
 use swsample::core::{ErasedWindowSampler, MemoryWords};
 use swsample::stream::{MultiStreamEngine, ValueGen, ZipfGen};
 
@@ -34,17 +34,6 @@ fn build_engine(template: &str, shards: usize, threads: usize) -> Engine {
         shards,
         swsample::baselines::spec::build::<u64>,
         threads,
-    )
-    .expect("engine builds")
-}
-
-fn build_backend(template: &str, shards: usize, threads: usize, backend: FleetBackend) -> Engine {
-    MultiStreamEngine::with_backend(
-        template.parse().expect("template parses"),
-        shards,
-        swsample::baselines::spec::build::<u64>,
-        threads,
-        backend,
     )
     .expect("engine builds")
 }
@@ -222,11 +211,12 @@ fn queries_run_concurrently_with_parallel_ingestion() {
 }
 
 /// The work-stealing determinism sweep: per-key samples are
-/// byte-identical across thread counts {1, 2, 3, 8} × fleet backends
-/// {erased, soa} × zipf skew {θ = 1.1, θ = 1.5}, fed in deliberately
-/// uneven batch sizes so epochs carry wildly different unit counts.
-/// Steals move *units* between workers, never events within a shard,
-/// so the reference (threads = 1, same backend) must match bit for bit.
+/// byte-identical across thread counts {1, 2, 3, 8} × zipf skew
+/// {θ = 1.1, θ = 1.5}, fed in deliberately uneven batch sizes so epochs
+/// carry wildly different unit counts. Steals move *units* between
+/// workers, never events within a shard, so the reference
+/// (threads = 1) must match bit for bit. (The name predates the
+/// removal of the second fleet backend.)
 #[test]
 fn samples_bit_identical_across_threads_backends_and_skew() {
     const UNEVEN: &[usize] = &[1, 7, 256, 31, 1024, 3, 129];
@@ -242,33 +232,31 @@ fn samples_bit_identical_across_threads_backends_and_skew() {
         engine.flush().expect("no worker panics");
     };
     let template = "--window seq --n 50 --k 4 --seed 61";
-    for backend in [FleetBackend::Erased, FleetBackend::Soa] {
-        for theta in [1.1f64, 1.5] {
-            let mut rng = SmallRng::seed_from_u64(909);
-            let mut zipf = ZipfGen::new(500, theta);
-            let events: Vec<(u64, u64, u64)> = (0..20_000u64)
-                .map(|i| (zipf.next_value(&mut rng), i / 32, i))
-                .collect();
-            let reference = build_backend(template, 64, 1, backend);
-            drive_uneven(&reference, &events);
-            let keys = reference.keys();
-            for threads in [2usize, 3, 8] {
-                let engine = build_backend(template, 64, threads, backend);
-                drive_uneven(&engine, &events);
+    for theta in [1.1f64, 1.5] {
+        let mut rng = SmallRng::seed_from_u64(909);
+        let mut zipf = ZipfGen::new(500, theta);
+        let events: Vec<(u64, u64, u64)> = (0..20_000u64)
+            .map(|i| (zipf.next_value(&mut rng), i / 32, i))
+            .collect();
+        let reference = build_engine(template, 64, 1);
+        drive_uneven(&reference, &events);
+        let keys = reference.keys();
+        for threads in [2usize, 3, 8] {
+            let engine = build_engine(template, 64, threads);
+            drive_uneven(&engine, &events);
+            assert_eq!(
+                engine.num_keys(),
+                keys.len(),
+                "θ={theta} threads={threads}: key census"
+            );
+            for key in &keys {
                 assert_eq!(
-                    engine.num_keys(),
-                    keys.len(),
-                    "{backend:?} θ={theta} threads={threads}: key census"
+                    engine.sample_k(key),
+                    reference.sample_k(key),
+                    "θ={theta}: key {key} diverges at threads={threads}"
                 );
-                for key in &keys {
-                    assert_eq!(
-                        engine.sample_k(key),
-                        reference.sample_k(key),
-                        "{backend:?} θ={theta}: key {key} diverges at threads={threads}"
-                    );
-                }
-                assert_eq!(engine.parallel_stats().violations, 0);
             }
+            assert_eq!(engine.parallel_stats().violations, 0);
         }
     }
 }
@@ -368,9 +356,8 @@ fn field(body: &str, key: &str) -> f64 {
 
 /// The committed artifact is schema v7 and holds the engine-redesign
 /// acceptance bars: slab + parallel ingestion ≥ 2× the PR-3 baseline at
-/// 100k keys (best thread count), the SoA fleet backend ≥ 1.5× the
-/// v3 committed erased figure (sustained) plus ≥ 1× erased in the same
-/// run, WAL-on ingest ≥ 0.7× WAL-off at 100k keys, end-to-end serving
+/// 100k keys (best thread count), WAL-on ingest ≥ 0.7× WAL-off at 100k
+/// keys, end-to-end serving
 /// ≥ 0.5× same-run direct ingest at 100k keys, and the work-stealing
 /// scheduler bars — 8-thread overhead ≥ 0.9× serial at 1k and 100k
 /// keys on any host, 4-thread efficiency ≥ 1.5× when the recorded
@@ -405,16 +392,6 @@ fn committed_artifact_holds_parallel_acceptance_bar() {
         speedup >= 2.0,
         "committed multi_100k_speedup {speedup}x below the 2x acceptance bar"
     );
-    let soa = field(&body, "multi_soa_100k_speedup");
-    assert!(
-        soa >= swsample_bench::throughput::MULTI_SOA_100K_GATE,
-        "committed multi_soa_100k_speedup {soa}x below the acceptance bar"
-    );
-    let vs_erased = field(&body, "multi_soa_vs_erased_100k");
-    assert!(
-        vs_erased >= 1.0,
-        "committed soa-vs-erased ratio {vs_erased}x: soa slower than erased"
-    );
     let wal = field(&body, "durable_wal_overhead_100k");
     assert!(
         wal >= swsample_bench::throughput::DURABLE_WAL_100K_GATE,
@@ -443,13 +420,10 @@ fn committed_artifact_holds_parallel_acceptance_bar() {
              on a multi-core host"
         );
     }
-    // Both backends appear as multi rows, erased first then soa.
-    for backend in ["erased", "soa"] {
-        assert!(
-            body.contains(&format!("\"backend\": \"{backend}\"")),
-            "{backend} backend rows present"
-        );
-    }
+    assert!(
+        body.contains("\"backend\": \"erased\""),
+        "erased backend rows present"
+    );
 }
 
 /// The priority_topk regression fix, pinned on the committed artifact:
