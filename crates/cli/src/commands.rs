@@ -22,24 +22,53 @@ use crate::args::{ArgError, Args};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use std::io::{BufRead, Write};
-use swsample_core::fault::FaultSchedule;
+use swsample_core::fault::{FaultSchedule, FaultSite};
 use swsample_core::spec::{Algorithm, FleetBackend, SamplerSpec, WindowKind};
 use swsample_core::{ErasedWindowSampler, MemoryWords};
-use swsample_durable::{DurableEngine, DurableOptions, FailPlan, ResumeOverrides};
+use swsample_durable::{DurableEngine, DurableError, DurableOptions, ResumeOverrides};
 use swsample_query::TsAggregator;
 use swsample_server::{loadgen, LoadgenConfig, Server, ServerConfig};
 use swsample_stream::{
     BurstyArrivals, MultiStreamEngine, SteadyArrivals, UniformGen, ValueGen, ZipfGen,
 };
 
-/// Run one subcommand against the given input/output. Returns an error
-/// message suitable for the user.
-pub fn run(args: &Args, input: &mut dyn BufRead, out: &mut dyn Write) -> Result<(), String> {
+/// Exit code of a `multi --wal` run stopped by an injected `wal-crash`
+/// fault, so harnesses can tell the expected crash from a real failure.
+pub const CRASH_EXIT_CODE: i32 = 42;
+
+/// A failed subcommand: the message for the user and the process exit
+/// code.
+#[derive(Debug)]
+pub struct CommandError {
+    /// User-facing message.
+    pub message: String,
+    /// 1 for every failure except an injected crash
+    /// ([`CRASH_EXIT_CODE`]).
+    pub exit_code: i32,
+}
+
+impl From<ArgError> for CommandError {
+    fn from(e: ArgError) -> Self {
+        CommandError {
+            message: e.0,
+            exit_code: 1,
+        }
+    }
+}
+
+impl std::fmt::Display for CommandError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(&self.message)
+    }
+}
+
+/// Run one subcommand against the given input/output.
+pub fn run(args: &Args, input: &mut dyn BufRead, out: &mut dyn Write) -> Result<(), CommandError> {
     let res = match args.command.as_str() {
         "run" => cmd_run(args, input, out),
         "seq" => cmd_legacy(args, input, out, false),
         "ts" => cmd_legacy(args, input, out, true),
-        "multi" => cmd_multi(args, out),
+        "multi" => return cmd_multi(args, out),
         "serve" => cmd_serve(args),
         "loadgen" => cmd_loadgen(args, out),
         "agg" => cmd_agg(args, input, out),
@@ -49,7 +78,7 @@ pub fn run(args: &Args, input: &mut dyn BufRead, out: &mut dyn Write) -> Result<
             "unknown subcommand `{other}` (try `help`)"
         ))),
     };
-    res.map_err(|e| e.to_string())
+    res.map_err(CommandError::from)
 }
 
 /// Usage text.
@@ -75,12 +104,11 @@ pub fn write_help(out: &mut dyn Write) -> std::io::Result<()> {
                  durability: [--wal DIR] [--snapshot-every B]\n\
                  [--segment-bytes N] [--resume]  (WAL + snapshots; resume\n\
                  recovers and continues, stdout byte-identical to an\n\
-                 uninterrupted run; SWSAMPLE_FAILPOINT=kill-after-appends=N\n\
-                 [,torn-tail=B][,corrupt-snapshot-byte=O][,disk-full-after=N]\n\
-                 injects crashes, exit code 42;\n\
-                 shutdown-after-appends=N exits 43 after a graceful\n\
-                 drain + final snapshot; the run always ends with a\n\
-                 final snapshot so --resume restarts instantly)\n\
+                 uninterrupted run; the run always ends with a final\n\
+                 snapshot so --resume restarts instantly)\n\
+                 faults (need --wal): SWSAMPLE_FAULTS=seed=S,\n\
+                 wal-append=1/N,wal-fsync=1/N (transient, retried),\n\
+                 wal-crash=1/N (kill after a WAL append, exit code 42)\n\
                  live rescale: [--rescale-after B]\n\
                  [--rescale-shards S] [--rescale-threads W]\n\
            serve run the fleet as a TCP server (framed binary protocol)\n\
@@ -347,16 +375,19 @@ impl MultiFleet {
         }
     }
 
-    fn ingest(&mut self, chunk: &[(u64, u64, u64)]) -> Result<(), ArgError> {
+    fn ingest(&mut self, chunk: &[(u64, u64, u64)]) -> Result<(), CommandError> {
         match self {
             MultiFleet::Plain(e) => {
                 e.ingest_parallel(chunk);
                 Ok(())
             }
-            MultiFleet::Durable(d) => d
-                .ingest(chunk)
-                .map(|_| ())
-                .map_err(|e| ArgError(e.to_string())),
+            MultiFleet::Durable(d) => d.ingest(chunk).map(|_| ()).map_err(|e| CommandError {
+                exit_code: match e {
+                    DurableError::Crashed => CRASH_EXIT_CODE,
+                    _ => 1,
+                },
+                message: e.to_string(),
+            }),
         }
     }
 
@@ -378,8 +409,7 @@ impl MultiFleet {
     /// covering everything ingested, so a later `--resume` (or any
     /// other reopen) restores without replaying the log (no-op for
     /// plain fleets). Stronger than a bare `sync` — the old end-of-run
-    /// behavior — and what the `shutdown-after-appends` failpoint
-    /// exercises mid-stream.
+    /// behavior.
     fn close(&mut self) -> Result<(), ArgError> {
         match self {
             // Plain fleets still owe a flush: the work-stealing pipeline
@@ -413,25 +443,27 @@ fn resolve_threads(threads: usize) -> usize {
 /// segment log, `--snapshot-every B` adds periodic snapshots, and
 /// `--resume` recovers from the directory and continues the regenerated
 /// workload where the log ends — stdout is byte-identical to an
-/// uninterrupted run. `SWSAMPLE_FAILPOINT` injects crashes for testing.
-fn cmd_multi(args: &Args, out: &mut dyn Write) -> Result<(), ArgError> {
+/// uninterrupted run. `SWSAMPLE_FAULTS` schedules WAL faults for
+/// testing; an injected `wal-crash` exits with [`CRASH_EXIT_CODE`].
+fn cmd_multi(args: &Args, out: &mut dyn Write) -> Result<(), CommandError> {
     let keys: u64 = args.require("keys")?;
     if keys == 0 {
-        return Err(ArgError("--keys must be at least 1".into()));
+        return Err(ArgError("--keys must be at least 1".into()).into());
     }
     // The zipf inverse-CDF table is O(keys); engine memory is O(keys
     // touched). Bound the table so absurd domains fail fast, not in the
     // allocator.
     const MAX_KEYS: u64 = 10_000_000;
     if keys > MAX_KEYS {
-        return Err(ArgError(format!("--keys: at most {MAX_KEYS} supported")));
+        return Err(ArgError(format!("--keys: at most {MAX_KEYS} supported")).into());
     }
     let count: u64 = args.require("count")?;
     let theta = args.get_f64("theta", 1.1)?;
     if !(theta.is_finite() && theta > 0.0) {
         return Err(ArgError(format!(
             "--theta: expected a positive number, got `{theta}`"
-        )));
+        ))
+        .into());
     }
     let shards = args.get_usize("shards", 16)?;
     let threads = resolve_threads(args.get_usize("threads", 1)?);
@@ -447,25 +479,32 @@ fn cmd_multi(args: &Args, out: &mut dyn Write) -> Result<(), ArgError> {
     let snapshot_every = args.get_u64("snapshot-every", 0)?;
     let segment_bytes = args.get_u64("segment-bytes", 4 << 20)?;
     if resume && wal_dir.is_none() {
-        return Err(ArgError("--resume requires --wal DIR".into()));
+        return Err(ArgError("--resume requires --wal DIR".into()).into());
     }
-    let fail = FailPlan::from_env().map_err(ArgError)?;
-    if !fail.is_empty() && wal_dir.is_none() {
-        return Err(ArgError(
-            "SWSAMPLE_FAILPOINT is set but --wal is not (failpoints drive the durable engine)"
-                .into(),
-        ));
-    }
-    // Seeded transient faults (`wal-append`/`wal-fsync`) compose with
-    // the hard failpoints above; network sites are inert here.
+    // Seeded WAL faults drive the durable engine; network sites are
+    // inert here. A WAL rule without --wal could never fire.
     let faults = FaultSchedule::from_env().map_err(ArgError)?;
+    let wal_site = [
+        FaultSite::WalAppend,
+        FaultSite::WalFsync,
+        FaultSite::WalCrash,
+    ]
+    .into_iter()
+    .find(|&s| faults.rule(s).is_some());
+    if let (None, Some(site)) = (&wal_dir, wal_site) {
+        return Err(ArgError(format!(
+            "SWSAMPLE_FAULTS schedules `{site}` but --wal is not given (WAL faults need the durable engine)"
+        ))
+        .into());
+    }
     let rescale_after = args.get_u64("rescale-after", 0)?;
     let rescale_shards = args.get_usize("rescale-shards", 0)?;
     let rescale_threads = args.get_usize("rescale-threads", 0)?;
     if rescale_after > 0 && rescale_shards == 0 && rescale_threads == 0 {
         return Err(ArgError(
             "--rescale-after needs --rescale-shards and/or --rescale-threads".into(),
-        ));
+        )
+        .into());
     }
 
     let spec = spec_from_flags(args)?;
@@ -489,8 +528,7 @@ fn cmd_multi(args: &Args, out: &mut dyn Write) -> Result<(), ArgError> {
             let opts = DurableOptions {
                 segment_bytes: segment_bytes.max(1),
                 snapshot_every: (snapshot_every > 0).then_some(snapshot_every),
-                fail,
-                faults: faults.clone(),
+                faults,
                 ..DurableOptions::default()
             };
             if resume {
@@ -811,7 +849,9 @@ mod tests {
             Args::parse(cmdline.split_whitespace().map(String::from)).map_err(|e| e.to_string())?;
         let mut out = Vec::new();
         let mut cur = Cursor::new(input.as_bytes().to_vec());
-        run(&args, &mut cur, &mut out).map(|()| String::from_utf8(out).expect("utf8"))
+        run(&args, &mut cur, &mut out)
+            .map(|()| String::from_utf8(out).expect("utf8"))
+            .map_err(|e| e.message)
     }
 
     #[test]

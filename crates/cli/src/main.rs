@@ -41,7 +41,7 @@ fn main() {
     if let Err(e) = commands::run(&args, &mut input, &mut out) {
         let _ = out.flush();
         eprintln!("swsample: {e}");
-        std::process::exit(1);
+        std::process::exit(e.exit_code);
     }
     let _ = out.flush();
 }

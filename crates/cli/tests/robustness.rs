@@ -89,7 +89,7 @@ fn run_captured(argv: Vec<String>) -> Result<Result<(), String>, ()> {
     };
     let mut input: &[u8] = b"";
     let mut out = Vec::new();
-    Ok(commands::run(&args, &mut { &mut input }, &mut out))
+    Ok(commands::run(&args, &mut { &mut input }, &mut out).map_err(|e| e.message))
 }
 
 proptest! {
@@ -260,7 +260,8 @@ fn threads_and_durability_combos_report_the_flag() {
         let mut input: &[u8] = b"";
         let mut out = Vec::new();
         let err = commands::run(&args, &mut { &mut input }, &mut out)
-            .expect_err(&format!("{argv:?} should fail"));
+            .expect_err(&format!("{argv:?} should fail"))
+            .message;
         assert!(
             err.contains(needle),
             "{argv:?}: error `{err}` does not mention `{needle}`"

@@ -11,8 +11,7 @@
 //! disk errors on every run, which turns an exactly-once violation
 //! under chaos into a reproducible test failure rather than a flake.
 //!
-//! The grammar is the same `name=value` comma list as the durable
-//! crate's `SWSAMPLE_FAILPOINT`:
+//! The grammar is a `name=value` comma list:
 //!
 //! ```text
 //! SWSAMPLE_FAULTS=seed=7,drop-rx=1/61,stall-rx=1/37:5ms,flip-tx=1/71,wal-append=1/23
@@ -28,7 +27,10 @@
 //! sending, the tx side mid-frame), `stall-rx` / `stall-tx` (sleep past
 //! the peer's deadline), `flip-tx` (flip one byte of an outgoing frame
 //! so the peer's CRC catches it), `wal-append` / `wal-fsync` (transient
-//! disk errors the durable engine retries boundedly).
+//! disk errors the durable engine retries boundedly), `wal-crash` (a
+//! simulated SIGKILL right after a WAL append: a strict prefix of the
+//! log's unflushed bytes, chosen by [`FaultHit::aux`], reaches the
+//! segment file, and the durable engine refuses every later write).
 //!
 //! Layers consult the schedule through a [`FaultInjector`], which owns
 //! the per-site operation counters (atomics, so concurrent reader and
@@ -72,11 +74,14 @@ pub enum FaultSite {
     WalAppend,
     /// Fail a WAL fsync with a transient (retryable) I/O error.
     WalFsync,
+    /// Kill the durable engine right after a WAL append, before the
+    /// batch is applied, losing a suffix of the unflushed log bytes.
+    WalCrash,
 }
 
 impl FaultSite {
     /// Every site, in canonical (grammar/display) order.
-    pub const ALL: [FaultSite; 7] = [
+    pub const ALL: [FaultSite; 8] = [
         FaultSite::DropRx,
         FaultSite::DropTx,
         FaultSite::StallRx,
@@ -84,6 +89,7 @@ impl FaultSite {
         FaultSite::FlipTx,
         FaultSite::WalAppend,
         FaultSite::WalFsync,
+        FaultSite::WalCrash,
     ];
 
     /// The site's token in the schedule grammar.
@@ -96,6 +102,7 @@ impl FaultSite {
             FaultSite::FlipTx => "flip-tx",
             FaultSite::WalAppend => "wal-append",
             FaultSite::WalFsync => "wal-fsync",
+            FaultSite::WalCrash => "wal-crash",
         }
     }
 

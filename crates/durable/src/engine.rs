@@ -23,7 +23,6 @@ use swsample_core::{FleetBackend, SamplerSpec};
 use swsample_stream::MultiStreamEngine;
 
 use crate::batch::{decode_batch, encode_batch};
-use crate::failpoint::{FailPlan, CRASH_EXIT_CODE, SHUTDOWN_EXIT_CODE};
 use crate::snapshot::{self, SnapshotMeta};
 use crate::wal::{SegmentLog, DEFAULT_SEGMENT_BYTES};
 use crate::DurableError;
@@ -39,12 +38,10 @@ pub struct DurableOptions {
     /// Automatically snapshot after this many ingest batches
     /// (`None` = only on explicit [`DurableEngine::snapshot`] calls).
     pub snapshot_every: Option<u64>,
-    /// Fault-injection plan for *hard* faults — crash, torn tail,
-    /// snapshot corruption, permanent disk-full (default: no faults).
-    pub fail: FailPlan,
-    /// Seeded schedule of *transient* faults (`wal-append`,
-    /// `wal-fsync` sites): injected I/O errors the engine rides out
-    /// with a bounded retry (default: no faults).
+    /// Seeded fault schedule (default: no faults). `wal-append` and
+    /// `wal-fsync` inject transient I/O errors the engine rides out with
+    /// a bounded retry; `wal-crash` kills the engine after an append
+    /// (see [`DurableEngine::ingest`]).
     pub faults: FaultSchedule,
     /// How many consecutive transient faults on one operation the
     /// engine retries before surfacing an I/O error.
@@ -56,7 +53,6 @@ impl Default for DurableOptions {
         Self {
             segment_bytes: DEFAULT_SEGMENT_BYTES,
             snapshot_every: None,
-            fail: FailPlan::default(),
             faults: FaultSchedule::default(),
             transient_retry_limit: 4,
         }
@@ -81,13 +77,13 @@ pub struct DurableEngine<K: Clone, T: Clone> {
     wal: SegmentLog,
     dir: PathBuf,
     opts: DurableOptions,
-    /// Successful WAL appends this process (drives failpoints).
-    appends: u64,
     batches_since_snapshot: u64,
-    /// Decides which append/fsync operations transiently fail.
+    /// Decides which append/fsync operations fault.
     injector: FaultInjector,
     /// Transient injected faults absorbed by the retry policy.
     transient_retries: u64,
+    /// Set by an injected `wal-crash`: every later write is refused.
+    crashed: bool,
 }
 
 impl<K, T> DurableEngine<K, T>
@@ -135,10 +131,10 @@ where
             wal,
             dir,
             opts,
-            appends: 0,
             batches_since_snapshot: 0,
             injector,
             transient_retries: 0,
+            crashed: false,
         };
         this.snapshot()?;
         Ok(this)
@@ -200,11 +196,19 @@ where
             wal,
             dir,
             opts,
-            appends: 0,
             batches_since_snapshot: 0,
             injector,
             transient_retries: 0,
+            crashed: false,
         })
+    }
+
+    /// [`DurableError::Crashed`] once an injected crash has fired.
+    fn check_live(&self) -> Result<(), DurableError> {
+        if self.crashed {
+            return Err(DurableError::Crashed);
+        }
+        Ok(())
     }
 
     /// Pass one faultable operation through the transient-fault
@@ -229,32 +233,26 @@ where
     /// Append `batch` to the WAL, apply it to the fleet, and snapshot if
     /// the automatic interval elapsed. Returns the batch's WAL sequence
     /// number. Empty batches are not logged.
+    ///
+    /// A scheduled `wal-crash` fires after the append and before the
+    /// apply: it simulates a SIGKILL ([`SegmentLog::crash`]), so only a
+    /// prefix of the unflushed log reaches disk, and returns
+    /// [`DurableError::Crashed`]. From then on every write (`ingest`,
+    /// `sync`, `snapshot`, `close`) returns `Crashed` and dropping the
+    /// engine writes nothing; queries still answer from the fleet,
+    /// which never saw the crashed batch.
     pub fn ingest(&mut self, batch: &[Event<K, T>]) -> Result<Option<u64>, DurableError> {
+        self.check_live()?;
         if batch.is_empty() {
             return Ok(None);
-        }
-        if let Some(limit) = self.opts.fail.disk_full_after_appends {
-            if self.appends >= limit {
-                return Err(DurableError::Io(std::io::Error::other(
-                    "synthetic disk-full (failpoint)",
-                )));
-            }
         }
         self.ride_out_transients(FaultSite::WalAppend, "WAL append")?;
         let payload = encode_batch(batch);
         let seq = self.wal.append(&payload)?;
-        self.appends += 1;
-        if self.opts.fail.kill_after_appends == Some(self.appends) {
-            if let Some(bytes) = self.opts.fail.torn_tail_bytes {
-                let _ = self.wal.inject_torn_tail(bytes);
-            } else {
-                let _ = self.wal.sync();
-            }
-            eprintln!(
-                "swsample-durable: failpoint kill after {} appends (exit {CRASH_EXIT_CODE})",
-                self.appends
-            );
-            std::process::exit(CRASH_EXIT_CODE);
+        if let Some(hit) = self.injector.check(FaultSite::WalCrash) {
+            self.crashed = true;
+            self.wal.crash(hit.aux)?;
+            return Err(DurableError::Crashed);
         }
         self.engine.ingest_parallel(batch);
         self.batches_since_snapshot += 1;
@@ -263,26 +261,15 @@ where
                 self.snapshot()?;
             }
         }
-        if self.opts.fail.shutdown_after_appends == Some(self.appends) {
-            // Graceful-shutdown failpoint: unlike the kill (which exits
-            // *before* apply, leaving un-applied durable records for
-            // replay), this takes the orderly exit path — final
-            // snapshot, then a distinct exit code.
-            self.close()?;
-            eprintln!(
-                "swsample-durable: failpoint shutdown after {} appends (exit {SHUTDOWN_EXIT_CODE})",
-                self.appends
-            );
-            std::process::exit(SHUTDOWN_EXIT_CODE);
-        }
         Ok(Some(seq))
     }
 
     /// Graceful shutdown: fsync the WAL and write a final snapshot, so
     /// a reopen restores from the snapshot alone with no replay. This
-    /// is what SIGINT handlers and server shutdown call; dropping the
-    /// engine without it is still safe (crash recovery replays the
-    /// log) but leaves replay work for the next open.
+    /// is what `multi` ends every run with and what server shutdown
+    /// calls; dropping the engine without it is still safe (crash
+    /// recovery replays the log) but leaves replay work for the next
+    /// open.
     pub fn close(&mut self) -> Result<PathBuf, DurableError> {
         self.snapshot()
     }
@@ -294,6 +281,7 @@ where
     /// snapshot is durable, all but the newest
     /// [`SNAPSHOTS_KEPT`](snapshot::SNAPSHOTS_KEPT) are deleted.
     pub fn snapshot(&mut self) -> Result<PathBuf, DurableError> {
+        self.check_live()?;
         self.ride_out_transients(FaultSite::WalFsync, "WAL fsync")?;
         self.wal.sync()?;
         let meta = SnapshotMeta {
@@ -305,18 +293,6 @@ where
             keys: self.engine.num_keys() as u64,
         };
         let path = snapshot::write_fleet_snapshot(&self.dir, &meta, &self.engine)?;
-        if let Some(offset) = self.opts.fail.corrupt_snapshot_byte.take() {
-            let mut bytes = std::fs::read(&path)?;
-            if !bytes.is_empty() {
-                let at = (offset as usize).min(bytes.len() - 1);
-                bytes[at] ^= 0xFF;
-                std::fs::write(&path, bytes)?;
-                eprintln!(
-                    "swsample-durable: failpoint corrupted snapshot byte {offset} in {}",
-                    path.display()
-                );
-            }
-        }
         snapshot::retain_newest(&self.dir, snapshot::SNAPSHOTS_KEPT)?;
         self.batches_since_snapshot = 0;
         Ok(path)
@@ -325,6 +301,7 @@ where
     /// Flush and fsync the WAL without snapshotting — everything
     /// ingested so far becomes durable (recoverable by replay).
     pub fn sync(&mut self) -> Result<(), DurableError> {
+        self.check_live()?;
         self.ride_out_transients(FaultSite::WalFsync, "WAL fsync")?;
         self.wal.sync()
     }
@@ -469,32 +446,6 @@ mod tests {
     }
 
     #[test]
-    fn disk_full_failpoint_fails_append_but_engine_stays_queryable() {
-        let dir = tmp_dir("diskfull");
-        let mut durable = DurableEngine::<u64, u64>::create(
-            &dir,
-            template(),
-            2,
-            1,
-            FleetBackend::Auto,
-            DurableOptions {
-                fail: "disk-full-after=2".parse().expect("plan"),
-                ..DurableOptions::default()
-            },
-        )
-        .expect("create");
-        let all = batches(4);
-        assert!(durable.ingest(&all[0]).is_ok());
-        assert!(durable.ingest(&all[1]).is_ok());
-        let err = durable.ingest(&all[2]).expect_err("disk full");
-        assert!(matches!(err, DurableError::Io(_)), "got {err:?}");
-        // The failed batch was never applied; the fleet still answers.
-        assert_eq!(durable.engine().num_keys(), 13);
-        assert!(durable.snapshot().is_ok(), "snapshot unaffected");
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
     fn transient_append_faults_are_retried_and_counted() {
         let dir = tmp_dir("transient");
         let mut durable = DurableEngine::<u64, u64>::create(
@@ -536,28 +487,43 @@ mod tests {
     #[test]
     fn transient_fault_storm_exhausts_the_retry_budget() {
         let dir = tmp_dir("exhaust");
+        let all = batches(3);
         let mut durable = DurableEngine::<u64, u64>::create(
             &dir,
             template(),
             2,
             1,
             FleetBackend::Auto,
+            DurableOptions::default(),
+        )
+        .expect("create");
+        durable.ingest(&all[0]).expect("ingest");
+        durable.ingest(&all[1]).expect("ingest");
+        durable.close().expect("close");
+        let before = fleet_samples(durable.engine());
+        drop(durable);
+        // Disk full: 1/1 makes every append attempt fault, so no retry
+        // can save it.
+        let mut durable = DurableEngine::<u64, u64>::open(
+            &dir,
             DurableOptions {
-                // 1/1: every append attempt faults — no retry can save it.
                 faults: "wal-append=1/1".parse().expect("schedule"),
                 transient_retry_limit: 3,
                 ..DurableOptions::default()
             },
         )
-        .expect("create");
-        let err = durable.ingest(&batches(1)[0]).expect_err("must exhaust");
+        .expect("open");
+        let err = durable.ingest(&all[2]).expect_err("must exhaust");
         assert!(
             matches!(&err, DurableError::Io(e) if e.to_string().contains("transient")),
             "got {err:?}"
         );
-        // The failed batch never reached the WAL or the fleet.
-        assert_eq!(durable.next_seq(), 0);
-        assert_eq!(durable.engine().num_keys(), 0);
+        // The failed batch never reached the WAL or the fleet; the fleet
+        // still answers, and a snapshot still succeeds.
+        assert_eq!(durable.next_seq(), 2);
+        assert_eq!(durable.engine().num_keys(), 13);
+        assert_eq!(fleet_samples(durable.engine()), before);
+        assert!(durable.snapshot().is_ok(), "snapshot unaffected");
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -44,27 +44,30 @@
 //!   snapshot + replay of WAL records with `seq >=` the snapshot's
 //!   position.
 //!
-//! Fault injection for all of the above lives in [`failpoint`]:
-//! `SWSAMPLE_FAILPOINT=kill-after-appends=N[,torn-tail=B]` crashes the
-//! process (exit code [`failpoint::CRASH_EXIT_CODE`]) mid-ingest, and
-//! the CI crash-recovery smoke byte-diffs the resumed run's output
-//! against an uncrashed reference.
+//! Faults come from the one seeded [`FaultSchedule`] in
+//! [`DurableOptions::faults`]: `wal-append` / `wal-fsync` are transient
+//! I/O errors the engine retries boundedly, and `wal-crash` simulates a
+//! SIGKILL right after an append — a prefix of the unflushed log reaches
+//! disk and the engine answers [`DurableError::Crashed`] to every later
+//! write. Nothing in this crate exits the process: `swsample multi`
+//! maps `Crashed` to exit code 42, and the CI crash-recovery smoke
+//! byte-diffs the resumed run's output against an uncrashed reference.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod batch;
 pub mod engine;
-pub mod failpoint;
 pub mod frame;
 pub mod snapshot;
 pub mod wal;
 
 pub use engine::{DurableEngine, DurableOptions, ResumeOverrides};
-pub use failpoint::{FailPlan, CRASH_EXIT_CODE, SHUTDOWN_EXIT_CODE};
 
 use std::path::PathBuf;
 
+#[cfg(doc)]
+use swsample_core::fault::FaultSchedule;
 use swsample_core::state::StateError;
 #[cfg(doc)]
 use swsample_stream::MultiStreamEngine;
@@ -96,6 +99,10 @@ pub enum DurableError {
         /// Key frames actually produced.
         written: u64,
     },
+    /// An injected `wal-crash` fault killed the engine: the batch being
+    /// ingested was never applied, and every later write is refused.
+    /// Reopen the directory to recover.
+    Crashed,
 }
 
 impl std::fmt::Display for DurableError {
@@ -110,6 +117,10 @@ impl std::fmt::Display for DurableError {
             DurableError::KeyCount { header, written } => write!(
                 f,
                 "snapshot header announces {header} keys but {written} key frames were written"
+            ),
+            DurableError::Crashed => write!(
+                f,
+                "durable fleet crashed (injected wal-crash fault); reopen the directory to recover"
             ),
         }
     }

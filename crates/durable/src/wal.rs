@@ -224,23 +224,28 @@ impl SegmentLog {
         self.segment_index
     }
 
-    /// Flush buffers **without** fsync and write `bytes` of raw garbage
-    /// after the last record — the torn-tail fault injection (a crash
-    /// mid-append).
-    pub fn inject_torn_tail(&mut self, bytes: u64) -> Result<(), DurableError> {
-        self.file.flush()?;
-        // A plausible-looking partial frame: a header promising more
-        // payload than will ever arrive.
-        let mut garbage = Vec::with_capacity(bytes as usize);
-        garbage.extend_from_slice(&(u32::MAX / 2).to_le_bytes());
-        garbage.extend_from_slice(&0xDEAD_BEEFu32.to_le_bytes());
-        while (garbage.len() as u64) < bytes {
-            garbage.push(0xAB);
-        }
-        garbage.truncate(bytes as usize);
-        self.file.get_mut().write_all(&garbage)?;
-        self.file.get_mut().flush()?;
-        Ok(())
+    /// Simulate a SIGKILL: of the bytes still in the write buffer, only
+    /// a strict prefix of `aux % len` bytes reaches the segment file
+    /// (none when the buffer is empty, so `aux` = 0 is a clean kill); the
+    /// rest is discarded, never flushed. Returns `(kept, unflushed)`.
+    ///
+    /// The log stays open only so it can be dropped: dropping it writes
+    /// nothing more, and an append after a crash would bury records
+    /// behind the torn prefix, so [`DurableEngine`] refuses every later
+    /// write with [`DurableError::Crashed`].
+    ///
+    /// [`DurableEngine`]: crate::engine::DurableEngine
+    pub fn crash(&mut self, aux: u64) -> Result<(u64, u64), DurableError> {
+        let unflushed = self.file.buffer().len() as u64;
+        let kept = if unflushed == 0 { 0 } else { aux % unflushed };
+        let mut file: &File = self.file.get_ref();
+        file.write_all(&self.file.buffer()[..kept as usize])?;
+        // Swap in an empty writer over the same file and take the old
+        // one apart without flushing it: the buffered tail is lost, as
+        // it would be when the process dies.
+        let empty = BufWriter::new(file.try_clone()?);
+        let _ = std::mem::replace(&mut self.file, empty).into_parts();
+        Ok((kept, unflushed))
     }
 }
 
@@ -283,19 +288,25 @@ mod tests {
         for i in 0..5u64 {
             log.append(&i.to_le_bytes()).expect("append");
         }
-        log.inject_torn_tail(13).expect("tear");
+        log.sync().expect("sync");
+        // Five more records stay buffered; the crash keeps two of them
+        // and 13 bytes of the third (each frame is 8 header + 16 bytes).
+        for i in 5..10u64 {
+            log.append(&i.to_le_bytes()).expect("append");
+        }
+        assert_eq!(log.crash(2 * 24 + 13).expect("crash"), (61, 120));
         drop(log);
         let (mut log, records) = SegmentLog::open(&dir, 1 << 20).expect("open tolerates tail");
-        assert_eq!(records.len(), 5);
-        assert_eq!(log.next_seq(), 5);
+        assert_eq!(records.len(), 7);
+        assert_eq!(log.next_seq(), 7);
         // The torn bytes were truncated away: appending and reopening
         // yields a clean log.
         log.append(b"after-recovery").expect("append");
         log.sync().expect("sync");
         drop(log);
         let (_, records) = SegmentLog::open(&dir, 1 << 20).expect("clean reopen");
-        assert_eq!(records.len(), 6);
-        assert_eq!(records[5].1, b"after-recovery");
+        assert_eq!(records.len(), 8);
+        assert_eq!(records[7].1, b"after-recovery");
         let _ = fs::remove_dir_all(&dir);
     }
 

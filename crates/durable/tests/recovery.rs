@@ -1,15 +1,18 @@
-//! Crash-recovery bit-identity. Crashes are simulated with the same
-//! file surgery a real crash leaves behind — a torn partial record at
-//! the end of the WAL, a corrupted snapshot — and recovery must rebuild
-//! a fleet whose continued run is byte-for-byte the uncrashed run, at
-//! any shard or thread count.
+//! Crash-recovery bit-identity. Crashes are simulated in-process by the
+//! seeded `wal-crash` fault (a SIGKILL that loses part of the unflushed
+//! log) and by the file surgery a real crash leaves behind — a torn
+//! partial record at the end of the WAL, a corrupted snapshot — and
+//! recovery must rebuild a fleet whose continued run is byte-for-byte
+//! the uncrashed run, at any shard or thread count.
 
 use std::fs;
 use std::path::{Path, PathBuf};
 
+use swsample_core::fault::{FaultSchedule, FaultSite};
 use swsample_core::{FleetBackend, Sample, SamplerSpec, SamplerState};
+use swsample_durable::frame::{read_frame, FrameRead};
 use swsample_durable::snapshot::{latest_valid, write_snapshot, SnapshotMeta};
-use swsample_durable::{DurableEngine, DurableOptions, ResumeOverrides};
+use swsample_durable::{DurableEngine, DurableError, DurableOptions, ResumeOverrides};
 use swsample_stream::MultiStreamEngine;
 
 const KEYS: u64 = 37;
@@ -42,20 +45,25 @@ fn fleet_samples(engine: &MultiStreamEngine<u64, u64>) -> Vec<(u64, Option<Vec<S
         .collect()
 }
 
-fn reference_samples(spec: &SamplerSpec) -> Vec<(u64, Option<Vec<Sample<u64>>>)> {
+/// The fleet an uninterrupted run holds after the first `batches`.
+fn samples_after(spec: &SamplerSpec, batches: usize) -> Vec<(u64, Option<Vec<Sample<u64>>>)> {
     let mut reference = MultiStreamEngine::<u64, u64>::with_factory(
         spec.clone(),
         4,
         swsample_baselines::spec::build::<u64>,
     )
     .expect("reference engine");
-    for b in 0..BATCHES {
+    for b in 0..batches {
         reference.ingest(&batch(b));
     }
     fleet_samples(&reference)
 }
 
-fn last_wal_segment(dir: &Path) -> PathBuf {
+fn reference_samples(spec: &SamplerSpec) -> Vec<(u64, Option<Vec<Sample<u64>>>)> {
+    samples_after(spec, BATCHES)
+}
+
+fn wal_segments(dir: &Path) -> Vec<PathBuf> {
     let mut segs: Vec<PathBuf> = fs::read_dir(dir)
         .expect("read dir")
         .map(|e| e.expect("entry").path())
@@ -66,7 +74,11 @@ fn last_wal_segment(dir: &Path) -> PathBuf {
         })
         .collect();
     segs.sort();
-    segs.pop().expect("at least one segment")
+    segs
+}
+
+fn last_wal_segment(dir: &Path) -> PathBuf {
+    wal_segments(dir).pop().expect("at least one segment")
 }
 
 fn newest_snapshot(dir: &Path) -> PathBuf {
@@ -149,6 +161,94 @@ fn torn_tail_crash_recovers_bit_identical_across_threads() {
     }
 }
 
+/// The `wal-crash` schedule the in-process crash test pins: its first
+/// hit falls on append 17 of 30 (0-based op 16), and the kept prefix of
+/// the unflushed log ends mid-frame.
+const CRASH_FAULTS: &str = "seed=10,wal-crash=1/20";
+const CRASH_AT: usize = 16;
+
+/// An injected SIGKILL mid-run, at crash threads {1, 2}: `ingest`
+/// returns `Crashed` on the pinned append and every later write is
+/// refused, the crashed batch is never applied, dropping the engine
+/// writes nothing, the log ends mid-frame, and the resume loop lands on
+/// the uninterrupted fleet bit for bit.
+#[test]
+fn wal_crash_drops_unflushed_bytes_and_recovers_bit_identical() {
+    let spec: SamplerSpec = "--window seq --n 64 --mode wor --algo paper --k 4 --seed 907"
+        .parse()
+        .expect("spec");
+    let faults: FaultSchedule = CRASH_FAULTS.parse().expect("schedule");
+    assert_eq!(
+        faults.first_hit(FaultSite::WalCrash, BATCHES as u64),
+        Some(CRASH_AT as u64)
+    );
+    let expected = reference_samples(&spec);
+    for threads in [1usize, 2] {
+        let dir = tmp_dir(&format!("walcrash-{threads}"));
+        let mut durable = DurableEngine::<u64, u64>::create(
+            &dir,
+            spec.clone(),
+            4,
+            threads,
+            FleetBackend::Auto,
+            DurableOptions {
+                snapshot_every: Some(7),
+                faults: faults.clone(),
+                ..DurableOptions::default()
+            },
+        )
+        .expect("create");
+        for b in 0..CRASH_AT {
+            durable.ingest(&batch(b)).expect("ingest before the crash");
+        }
+        let err = durable.ingest(&batch(CRASH_AT)).expect_err("pinned crash");
+        assert!(matches!(err, DurableError::Crashed), "got {err:?}");
+        // Every later write is refused.
+        for err in [
+            durable.ingest(&batch(CRASH_AT + 1)).err(),
+            durable.ingest(&[]).err(),
+            durable.sync().err(),
+            durable.snapshot().err(),
+            durable.close().err(),
+        ] {
+            assert!(matches!(err, Some(DurableError::Crashed)), "got {err:?}");
+        }
+        // Queries still answer, from a fleet that never saw the batch.
+        assert_eq!(
+            fleet_samples(durable.engine()),
+            samples_after(&spec, CRASH_AT)
+        );
+
+        let read_segments = || -> Vec<Vec<u8>> {
+            wal_segments(&dir)
+                .iter()
+                .map(|p| fs::read(p).expect("read segment"))
+                .collect()
+        };
+        let before = read_segments();
+        drop(durable);
+        assert_eq!(read_segments(), before, "drop after a crash wrote to disk");
+
+        // The kept prefix ends mid-frame in the final segment.
+        let tail = before.last().expect("a segment");
+        let mut reader: &[u8] = tail;
+        let end = loop {
+            match read_frame(&mut reader).expect("in-memory read") {
+                FrameRead::Frame(_) => continue,
+                other => break other,
+            }
+        };
+        assert!(
+            matches!(end, FrameRead::Torn(_)),
+            "threads={threads}: the final segment must end mid-frame"
+        );
+
+        let got = resume_and_finish(&dir, ResumeOverrides::default());
+        assert_eq!(got, expected, "threads={threads}: resume diverged");
+        let _ = fs::remove_dir_all(&dir);
+    }
+}
+
 /// A crash can also cut the last durable record itself: truncating the
 /// final segment mid-record loses that batch, and the resume loop
 /// re-ingests it from the regenerated workload.
@@ -221,39 +321,6 @@ fn corrupt_snapshot_falls_back_to_older_and_stays_identical() {
 
     let got = resume_and_finish(&dir, ResumeOverrides::default());
     assert_eq!(got, expected, "fallback recovery diverged");
-    let _ = fs::remove_dir_all(&dir);
-}
-
-/// The corrupt-snapshot failpoint produces the same situation from
-/// inside the engine (the CI smoke uses the env-var form).
-#[test]
-fn corrupt_snapshot_failpoint_is_survivable() {
-    let spec: SamplerSpec = "--window seq --n 64 --mode wr --algo chain --k 3 --seed 903"
-        .parse()
-        .expect("spec");
-    let expected = reference_samples(&spec);
-    let dir = tmp_dir("snapfp");
-    let mut durable = DurableEngine::<u64, u64>::create(
-        &dir,
-        spec,
-        4,
-        1,
-        FleetBackend::Auto,
-        DurableOptions {
-            snapshot_every: Some(6),
-            fail: "corrupt-snapshot-byte=120".parse().expect("plan"),
-            ..DurableOptions::default()
-        },
-    )
-    .expect("create");
-    for b in 0..14 {
-        durable.ingest(&batch(b)).unwrap();
-    }
-    durable.sync().unwrap();
-    drop(durable);
-
-    let got = resume_and_finish(&dir, ResumeOverrides::default());
-    assert_eq!(got, expected, "failpoint-corrupted snapshot diverged");
     let _ = fs::remove_dir_all(&dir);
 }
 

@@ -126,8 +126,9 @@ pub struct ServerConfig {
     /// this many pushes. 0 disables.
     pub slow_consumer_budget: u64,
     /// Seeded network-fault schedule (drops, stalls, flips); also
-    /// forwarded to the durable engine for transient WAL faults.
-    /// Empty (the default) injects nothing.
+    /// forwarded to the durable engine for transient WAL faults. A
+    /// `wal-crash` rule is refused at [`Server::start`]. Empty (the
+    /// default) injects nothing.
     pub faults: FaultSchedule,
 }
 
@@ -547,7 +548,7 @@ impl Server {
         let listener = TcpListener::bind(&cfg.addr)?;
         listener.set_nonblocking(true)?;
         let local_addr = listener.local_addr()?;
-        let fleet = build_fleet(&cfg).map_err(io::Error::other)?;
+        let fleet = build_fleet(&cfg)?;
         let injector = FaultInjector::new(cfg.faults.clone());
         let shared = Arc::new(Shared {
             queue: IngestQueue::new(cfg.queue_max_events),
@@ -702,7 +703,16 @@ impl Drop for Server {
     }
 }
 
-fn build_fleet(cfg: &ServerConfig) -> Result<Fleet, String> {
+/// Build the fleet `cfg` describes. A `wal-crash` rule is an
+/// `InvalidInput` error: it kills the durable engine, and a live server
+/// has no process to kill.
+fn build_fleet(cfg: &ServerConfig) -> io::Result<Fleet> {
+    if cfg.faults.rule(FaultSite::WalCrash).is_some() {
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidInput,
+            "fault site `wal-crash` cannot be scheduled on a live server (no process to kill)",
+        ));
+    }
     match &cfg.wal_dir {
         None => MultiStreamEngine::with_threads(
             cfg.template.clone(),
@@ -711,7 +721,7 @@ fn build_fleet(cfg: &ServerConfig) -> Result<Fleet, String> {
             cfg.threads,
         )
         .map(Fleet::Plain)
-        .map_err(|e| e.to_string()),
+        .map_err(|e| io::Error::other(e.to_string())),
         Some(dir) => {
             let opts = DurableOptions {
                 segment_bytes: cfg.segment_bytes,
@@ -747,7 +757,7 @@ fn build_fleet(cfg: &ServerConfig) -> Result<Fleet, String> {
             };
             engine
                 .map(|e| Fleet::Durable(Box::new(Mutex::new(e))))
-                .map_err(|e| e.to_string())
+                .map_err(|e| io::Error::other(e.to_string()))
         }
     }
 }

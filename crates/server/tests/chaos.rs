@@ -41,6 +41,25 @@ fn start(mut cfg: ServerConfig) -> Server {
     Server::start(cfg).expect("server start")
 }
 
+/// `wal-crash` simulates killing the process, which a live server
+/// cannot survive: startup refuses the schedule with a typed error
+/// before any fleet or WAL directory is built.
+#[test]
+fn wal_crash_schedule_is_rejected_at_startup() {
+    let dir = temp_dir("walcrash");
+    let mut cfg = ServerConfig::new(template());
+    cfg.addr = "127.0.0.1:0".into();
+    cfg.faults = "seed=1,wal-crash=1/5".parse().expect("fault schedule");
+    cfg.wal_dir = Some(dir.join("wal"));
+    let err = Server::start(cfg)
+        .err()
+        .expect("wal-crash must be rejected");
+    assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput, "{err}");
+    assert!(err.to_string().contains("wal-crash"), "{err}");
+    assert!(!dir.join("wal").exists(), "no WAL may be created");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// The capstone: a WAL-backed server under every fault site at once —
 /// connections dropped mid-frame in both directions, reads stalled,
 /// reply bytes flipped, transient WAL append errors — driven by a

@@ -1,15 +1,15 @@
 //! Property-based tests on the seeded fault-schedule grammar
-//! (`swsample::core::fault`), mirroring the durable crate's `FailPlan`
-//! robustness suite: arbitrary input never panics the parser, every
-//! rejection names the offending token, and valid schedules round-trip
-//! through their canonical rendering byte-stably.
+//! (`swsample::core::fault`), the one fault-injection layer for every
+//! site from `drop-rx` to `wal-crash`: arbitrary input never panics the
+//! parser, every rejection names the offending token, and valid
+//! schedules round-trip through their canonical rendering byte-stably.
 
 use proptest::collection::vec;
 use proptest::prelude::*;
 use swsample::core::fault::{FaultSchedule, FaultSite};
 
 /// Assemble a syntactically valid schedule string from raw integers:
-/// `mask` selects which of the 7 sites get a rule, `denoms`/`stalls`
+/// `mask` selects which of the 8 sites get a rule, `denoms`/`stalls`
 /// supply the parameters. Stall durations only on stall sites, per the
 /// grammar.
 fn build_valid_spec(seed: u64, mask: u64, denoms: &[u64], stalls: &[u64]) -> String {
@@ -70,9 +70,9 @@ proptest! {
     #[test]
     fn valid_schedules_round_trip_canonically(
         seed in any::<u64>(),
-        mask in 0u64..128,
-        denoms in vec(1u64..5000, 7..8),
-        stalls in vec(1u64..500, 7..8),
+        mask in 0u64..256,
+        denoms in vec(1u64..5000, 8..9),
+        stalls in vec(1u64..500, 8..9),
     ) {
         let spec = build_valid_spec(seed, mask, &denoms, &stalls);
         let parsed: FaultSchedule = spec.parse()
@@ -91,9 +91,9 @@ proptest! {
     #[test]
     fn decisions_replay_deterministically(
         seed in any::<u64>(),
-        mask in 0u64..128,
-        denoms in vec(1u64..200, 7..8),
-        stalls in vec(1u64..500, 7..8),
+        mask in 0u64..256,
+        denoms in vec(1u64..200, 8..9),
+        stalls in vec(1u64..500, 8..9),
         ops in 1u64..200,
     ) {
         let spec = build_valid_spec(seed, mask, &denoms, &stalls);
